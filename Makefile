@@ -2,7 +2,7 @@ GO ?= go
 # Pinned so CI and laptops run the same checker; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet staticcheck test test-race chaos replica-chaos shard-chaos cache-check bench-smoke bench-json loadtest loadtest-smoke overload-chaos ci experiments
+.PHONY: all build vet staticcheck test test-race chaos replica-chaos shard-chaos cache-check bench-smoke bench-json loadtest loadtest-smoke overload-chaos loc ci experiments
 
 all: build
 
@@ -121,7 +121,13 @@ loadtest-smoke:
 overload-chaos:
 	$(GO) run -race ./cmd/loadgen -overload -out overload-chaos.json
 
-ci: vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check loadtest-smoke overload-chaos bench-smoke bench-json
+# Net production Go LOC, the number ROADMAP.md tracks: every non-test .go
+# file outside the perfbench/ module and its .bench_build/ outputs.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 | \
+		xargs -0 cat | wc -l
+
+ci: loc vet staticcheck build test-race chaos replica-chaos shard-chaos cache-check loadtest-smoke overload-chaos bench-smoke bench-json
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -73,7 +73,7 @@ func runWire(b *testing.B, e *benchEnv, p *plan.Plan) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := plan.ExecuteWire(ctx, e.client, p, io.Discard)
+		m, err := plan.Execute(ctx, e.client, p, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func BenchmarkAblationGreedyCoefficients(b *testing.B) {
 					b.Fatal(err)
 				}
 				p := res.BestPlan(e.tree1)
-				if _, err := plan.ExecuteWire(ctx, e.client, p, io.Discard); err != nil {
+				if _, err := plan.Execute(ctx, e.client, p, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,7 +258,7 @@ func BenchmarkTaggerConstantSpace(b *testing.B) {
 			b.ReportAllocs()
 			var rows int64
 			for i := 0; i < b.N; i++ {
-				m, err := plan.ExecuteWire(ctx, e.client, p, io.Discard)
+				m, err := plan.Execute(ctx, e.client, p, io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,8 +5,10 @@ import (
 	"hash/fnv"
 	"io"
 	"strconv"
+	"sync"
 	"time"
 
+	"silkroute/internal/engine"
 	"silkroute/internal/fragcache"
 	"silkroute/internal/obs"
 	"silkroute/internal/plan"
@@ -49,51 +51,47 @@ func WithServeStale() Option {
 	return func(c *config) { c.serveStale = true }
 }
 
-// planCache lazily creates the DB's shared plan cache.
-func (db *DB) planCache() *plancache.Cache {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	if db.plans == nil {
-		db.plans = plancache.New()
-	}
-	return db.plans
+// caches holds the plan and fragment caches one backend (a DB or a Remote)
+// shares across every view compiled against it, so those views share one
+// cache and one invalidation domain. Each cache is built on first use.
+type caches struct {
+	// local is the DB's in-process engine; nil on a Remote. A local
+	// fragment cache hooks the engine's write path and stamps per-table
+	// versions.
+	local *engine.Database
+
+	mu    sync.Mutex
+	plans *plancache.Cache
+	frags *fragcache.Cache
 }
 
-// fragCache lazily creates the DB's shared fragment cache and hooks it into
+// planCache lazily creates the shared plan cache.
+func (c *caches) planCache() *plancache.Cache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.plans == nil {
+		c.plans = plancache.New()
+	}
+	return c.plans
+}
+
+// fragCache lazily creates the shared fragment cache. On a DB it hooks into
 // the engine's write path, so every insert — facade, CSV load, generator —
-// invalidates dependent fragments immediately. The first caller's byte
-// budget wins; later callers may resize via the returned cache.
-func (db *DB) fragCache(maxBytes int64) *fragcache.Cache {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	if db.frags == nil {
+// invalidates dependent fragments immediately; across the wire there are no
+// write hooks, and freshness is validated per request with a stats-epoch
+// probe instead. The first caller's byte budget wins; later callers may
+// resize via the returned cache.
+func (c *caches) fragCache(maxBytes int64) *fragcache.Cache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.frags == nil {
 		cache := fragcache.New(maxBytes)
-		db.eng.RegisterWriteHook(func(table string) { cache.InvalidateTable(table) })
-		db.frags = cache
+		if c.local != nil {
+			c.local.RegisterWriteHook(func(table string) { cache.InvalidateTable(table) })
+		}
+		c.frags = cache
 	}
-	return db.frags
-}
-
-// planCache lazily creates the Remote's shared plan cache.
-func (r *Remote) planCache() *plancache.Cache {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if r.plans == nil {
-		r.plans = plancache.New()
-	}
-	return r.plans
-}
-
-// fragCache lazily creates the Remote's shared fragment cache. There are no
-// write hooks across the wire: freshness is validated per request with a
-// stats-epoch probe instead.
-func (r *Remote) fragCache(maxBytes int64) *fragcache.Cache {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if r.frags == nil {
-		r.frags = fragcache.New(maxBytes)
-	}
-	return r.frags
+	return c.frags
 }
 
 // fingerprint hashes everything that determines the view's compiled form
@@ -139,33 +137,31 @@ func (v *View) fingerprint() uint64 {
 // caller must take the cold path (a cache shortcut is never worth serving
 // stale or failing the request).
 func (v *View) statsEpoch(ctx context.Context) (int64, bool) {
-	if v.remote != nil {
-		e, err := v.remote.client.StatsEpoch(ctx)
-		if err != nil {
-			// Cold runs forced by a failed probe are a distinct signal from
-			// ordinary misses: the caches are degraded, not merely cold.
-			obs.M().FragmentProbeFailure()
-			return 0, false
-		}
-		return e, true
+	e, err := v.backend.StatsEpoch(ctx)
+	if err != nil {
+		// Cold runs forced by a failed probe are a distinct signal from
+		// ordinary misses: the caches are degraded, not merely cold.
+		obs.M().FragmentProbeFailure()
+		return 0, false
 	}
-	return v.db.eng.StatsEpoch(), true
+	return e, true
 }
 
 // currentStamp snapshots the freshness of the given base tables right now:
-// per-table write versions locally, the global stats epoch remotely.
+// the global stats epoch, plus per-table write versions on a local
+// database, where they are free to read and keep entries over untouched
+// tables fresh.
 func (v *View) currentStamp(ctx context.Context, tables []string) (fragcache.Stamp, bool) {
-	if v.remote != nil {
-		e, err := v.remote.client.StatsEpoch(ctx)
-		if err != nil {
-			obs.M().FragmentProbeFailure()
-			return fragcache.Stamp{}, false
-		}
-		return fragcache.Stamp{Epoch: e}, true
+	e, ok := v.statsEpoch(ctx)
+	if !ok {
+		return fragcache.Stamp{}, false
 	}
-	st := fragcache.Stamp{Epoch: v.db.eng.StatsEpoch(), Versions: make([]int64, len(tables))}
-	for i, t := range tables {
-		st.Versions[i] = v.db.eng.TableVersion(t)
+	st := fragcache.Stamp{Epoch: e}
+	if eng := v.home.local; eng != nil {
+		st.Versions = make([]int64, len(tables))
+		for i, t := range tables {
+			st.Versions[i] = eng.TableVersion(t)
+		}
 	}
 	return st, true
 }

@@ -28,7 +28,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"silkroute"
@@ -46,7 +45,7 @@ func main() {
 	strategy := flag.String("strategy", "greedy", "plan strategy: unified, unified-cte, outer-union, fully-partitioned, greedy")
 	explain := flag.Bool("explain", false, "print the plan and SQL to stderr")
 	noReduce := flag.Bool("no-reduce", false, "disable view-tree reduction")
-	parallelism := flag.Int("parallelism", 0, "concurrent partition queries (0 = one per CPU, 1 = serial)")
+	parallelism := flag.Int("parallelism", 0, "concurrently opened tuple streams (0 = all at once, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "abort materialization after this long (0 = no limit)")
 	serve := flag.String("serve", "", "run as a database server on this address instead of materializing")
 	connect := flag.String("connect", "", "evaluate against a remote silkroute -serve database at this address")
@@ -143,34 +142,17 @@ func main() {
 		opts = append(opts, silkroute.WithHedge(*hedge))
 	}
 
+	// -shards, -replicas, and -connect all name a remote topology in
+	// ParseTopology's syntax; without any of them the view runs locally.
 	var view *silkroute.View
-	if *shards != "" {
-		// Sharded middleware mode: each ";"-separated segment is one
-		// partition's replica group; every stream scatters to all shards and
-		// the sorted partials are k-way merged back on the structural key.
-		topo, terr := silkroute.ParseTopology(*shards)
+	if spec := firstNonEmpty(*shards, *replicas, *connect); spec != "" {
+		// Remote middleware mode: the TPC-H schema is the local source
+		// description; data and optimizer live on the server(s).
+		topo, terr := silkroute.ParseTopology(spec)
 		if terr != nil {
 			fatal(terr)
 		}
-		remote, derr := silkroute.Dial(topo, opts...)
-		if derr != nil {
-			fatal(derr)
-		}
-		defer remote.Close()
-		view, err = silkroute.ParseRemoteView(remote, silkroute.TPCHSourceDescription(), src, opts...)
-	} else if *replicas != "" {
-		// Replicated middleware mode: N -serve endpoints of the same data,
-		// health-balanced per stream, with cross-replica failover when
-		// -resume is on.
-		addrs := strings.Split(*replicas, ",")
-		remote := silkroute.ConnectReplicas(addrs, opts...)
-		defer remote.Close()
-		view, err = silkroute.ParseRemoteView(remote, silkroute.TPCHSourceDescription(), src, opts...)
-	} else if *connect != "" {
-		// Remote middleware mode: the TPC-H schema is the local source
-		// description; data and optimizer live on the server.
-		var remote *silkroute.Remote
-		if *chaosSpec != "" {
+		if *chaosSpec != "" && spec == *connect {
 			// Client-side fault injection: refuse dials, cut or delay the
 			// connections this client opens.
 			sp, err := chaos.ParseSpec(*chaosSpec)
@@ -178,15 +160,14 @@ func main() {
 				fatal(err)
 			}
 			var d net.Dialer
-			dial := chaos.New(sp).WrapDial(func(ctx context.Context) (net.Conn, error) {
+			topo = silkroute.SingleFunc(chaos.New(sp).WrapDial(func(ctx context.Context) (net.Conn, error) {
 				return d.DialContext(ctx, "tcp", *connect)
-			})
-			remote = silkroute.ConnectFunc(func() (net.Conn, error) {
-				return dial(context.Background())
-			}, opts...)
+			}))
 			fmt.Fprintf(os.Stderr, "silkroute: injecting faults: %s\n", *chaosSpec)
-		} else {
-			remote = silkroute.ConnectTCP(*connect, opts...)
+		}
+		remote, derr := silkroute.Dial(topo, opts...)
+		if derr != nil {
+			fatal(derr)
 		}
 		defer remote.Close()
 		view, err = silkroute.ParseRemoteView(remote, silkroute.TPCHSourceDescription(), src, opts...)
@@ -267,6 +248,16 @@ func main() {
 			}
 		}
 	}
+}
+
+// firstNonEmpty returns the first non-empty string, or "".
+func firstNonEmpty(ss ...string) string {
+	for _, s := range ss {
+		if s != "" {
+			return s
+		}
+	}
+	return ""
 }
 
 // loadDB opens the TPC-H database from the generator or a CSV directory.

@@ -92,7 +92,7 @@ func main() {
 	reload := flag.Duration("reload", 0, "poll -views for changed definitions at this interval and hot-swap them (0 = off)")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace after SIGTERM before force-closing streams")
 	noReduce := flag.Bool("no-reduce", false, "disable view-tree reduction")
-	parallelism := flag.Int("parallelism", 0, "concurrent partition queries per request (0 = one per CPU)")
+	parallelism := flag.Int("parallelism", 0, "concurrently opened tuple streams per request (0 = all at once)")
 	planCache := flag.Bool("plan-cache", true, "memoize compiled plans across requests")
 	fragCache := flag.Int64("fragment-cache", 0, "cache materialized XML under this byte budget (0 = off, -1 = unbounded)")
 	resume := flag.Int("resume", 0, "resume a died tuple stream mid-flight up to N times (remote only)")

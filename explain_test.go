@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"silkroute/internal/rxl"
 )
@@ -108,6 +109,7 @@ func TestStreamStatsLocal(t *testing.T) {
 	if rows != rep.Rows {
 		t.Errorf("per-stream rows sum to %d, report says %d", rows, rep.Rows)
 	}
+	checkTimingMeaning(t, rep)
 }
 
 // TestStreamStatsRemote asserts remote runs also fill byte counts, which
@@ -121,7 +123,7 @@ func TestStreamStatsRemote(t *testing.T) {
 	defer l.Close()
 	go db.Serve(l)
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {
@@ -145,6 +147,25 @@ func TestStreamStatsRemote(t *testing.T) {
 	}
 	if bytesSum <= 0 {
 		t.Error("remote run transferred no bytes according to StreamStats")
+	}
+	checkTimingMeaning(t, rep)
+}
+
+// checkTimingMeaning pins the one meaning the timing fields have on every
+// backend: QueryTime sums the streams' open times, and every stream's wall
+// time covers the whole open phase, since streams drain only after all of
+// them are open.
+func checkTimingMeaning(t *testing.T, rep *Report) {
+	t.Helper()
+	var sum time.Duration
+	for i, st := range rep.StreamStats {
+		sum += st.QueryTime
+		if st.WallTime < rep.QueryWallTime {
+			t.Errorf("stream %d: wall time %v below the open phase %v", i, st.WallTime, rep.QueryWallTime)
+		}
+	}
+	if rep.QueryTime != sum {
+		t.Errorf("QueryTime %v, want the per-stream sum %v", rep.QueryTime, sum)
 	}
 }
 

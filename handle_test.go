@@ -1,5 +1,5 @@
 // Tests for the unified facade: Handle as the one registry entry for any
-// backend, and Dial as the one constructor behind the Connect* aliases.
+// backend, and Dial as the one constructor for every remote shape.
 package silkroute
 
 import (
@@ -57,21 +57,14 @@ func TestDialRejectsBadEndpointConfigs(t *testing.T) {
 	if _, err := Dial(Topology{}); err == nil {
 		t.Error("Dial(Topology{}) with no endpoint succeeded")
 	}
-	dialer := func(context.Context) (net.Conn, error) { return nil, nil }
-	if _, err := Dial(Topology{}, WithAddrs("x:1"), WithDialer(dialer)); err == nil {
-		t.Error("Dial with both WithAddrs and WithDialer succeeded")
-	}
-	if _, err := Dial(Single("x:1"), WithAddrs("y:1")); err == nil {
-		t.Error("Dial with both a topology and WithAddrs succeeded")
-	}
-	if _, err := Dial(Single("x:1"), WithDialer(dialer)); err == nil {
-		t.Error("Dial with both a topology and WithDialer succeeded")
+	if _, err := Dial(Replicas()); err == nil {
+		t.Error("Dial(Replicas()) with an empty replica group succeeded")
 	}
 }
 
 // TestDialSingleAndReplicas drives the unified constructor down both remote
 // shapes — one address and many — and requires byte-identity with the
-// local materialization, the same contract the Connect* aliases carry.
+// local materialization.
 func TestDialSingleAndReplicas(t *testing.T) {
 	db := OpenTPCH(0.001, 42)
 	var listeners []net.Listener

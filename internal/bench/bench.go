@@ -78,9 +78,11 @@ func QueryTree(db *engine.Database, which int) (*viewtree.Tree, error) {
 
 // PlanResult is one measured plan execution.
 type PlanResult struct {
-	Bits     uint64
-	Streams  int
-	Reduced  bool
+	Bits    uint64
+	Streams int
+	Reduced bool
+	// QueryMS is the open phase's wall clock (Metrics.QueryWallTime): the
+	// paper's query-only series.
 	QueryMS  float64
 	TotalMS  float64
 	Rows     int64
@@ -124,7 +126,7 @@ func (r *Runner) Run(ctx context.Context, p *plan.Plan, bits uint64) (PlanResult
 	}
 	var best PlanResult
 	for i := 0; i < repeat; i++ {
-		m, err := plan.ExecuteWire(ctx, r.Client, p, io.Discard)
+		m, err := plan.Execute(ctx, r.Client, p, io.Discard)
 		if err != nil {
 			return PlanResult{}, err
 		}
@@ -132,7 +134,7 @@ func (r *Runner) Run(ctx context.Context, p *plan.Plan, bits uint64) (PlanResult
 			Bits:      bits,
 			Streams:   m.Streams,
 			Reduced:   p.Reduce,
-			QueryMS:   float64(m.QueryTime.Microseconds()) / 1000,
+			QueryMS:   float64(m.QueryWallTime.Microseconds()) / 1000,
 			TotalMS:   float64(m.TotalTime.Microseconds()) / 1000,
 			Rows:      m.Rows,
 			Bytes:     m.Bytes,

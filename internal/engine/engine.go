@@ -56,7 +56,7 @@ type Database struct {
 	writeHooks []func(table string)
 
 	logMu    sync.Mutex
-	logging  bool
+	logging  atomic.Bool // read unlocked on every query
 	queryLog []QueryLogEntry
 }
 
@@ -75,7 +75,7 @@ type QueryLogEntry struct {
 // off by default.
 func (db *Database) EnableQueryLog() {
 	db.logMu.Lock()
-	db.logging = true
+	db.logging.Store(true)
 	db.queryLog = nil
 	db.logMu.Unlock()
 }
@@ -89,7 +89,7 @@ func (db *Database) QueryLog() []QueryLogEntry {
 
 func (db *Database) logQuery(sql string, rows int) {
 	db.logMu.Lock()
-	if db.logging {
+	if db.logging.Load() {
 		db.queryLog = append(db.queryLog, QueryLogEntry{SQL: sql, Rows: rows})
 	}
 	db.logMu.Unlock()
@@ -218,7 +218,7 @@ func (db *Database) ExecuteContext(ctx context.Context, sql string) (*Result, er
 		return nil, err
 	}
 	res, err := db.ExecuteQueryContext(ctx, q)
-	if db.logging {
+	if db.logging.Load() {
 		if err != nil {
 			db.logQuery(sql, 0)
 		} else {

@@ -59,13 +59,13 @@ func TestExecuteDirectCancelMidStream(t *testing.T) {
 	defer cancel()
 	w := &cancelAfterWriter{cancel: cancel, left: 1 << 12}
 	start := time.Now()
-	_, err := ExecuteDirect(cctx, db, p, w)
+	_, err := Execute(cctx, wire.Local(db), p, w)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("ExecuteDirect completed despite mid-stream cancellation")
+		t.Fatal("local Execute completed despite mid-stream cancellation")
 	}
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecuteDirect cancel error = %v, want context.Canceled", err)
+		t.Errorf("local Execute cancel error = %v, want context.Canceled", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v to unwind", elapsed)
@@ -77,8 +77,8 @@ func TestExecuteDirectPreCanceled(t *testing.T) {
 	tree := fragmentTree(t)
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteDirect(cctx, db, Unified(tree, true), io.Discard); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled ExecuteDirect = %v, want context.Canceled", err)
+	if _, err := Execute(cctx, wire.Local(db), Unified(tree, true), io.Discard); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled local Execute = %v, want context.Canceled", err)
 	}
 }
 
@@ -92,13 +92,13 @@ func TestExecuteWireCancelReleasesPool(t *testing.T) {
 	defer cancel()
 	w := &cancelAfterWriter{cancel: cancel, left: 1 << 12}
 	start := time.Now()
-	_, err := ExecuteWire(cctx, client, p, w)
+	_, err := Execute(cctx, client, p, w)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("ExecuteWire completed despite mid-stream cancellation")
+		t.Fatal("wire Execute completed despite mid-stream cancellation")
 	}
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecuteWire cancel error = %v, want context.Canceled", err)
+		t.Errorf("wire Execute cancel error = %v, want context.Canceled", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v to unwind", elapsed)
@@ -109,8 +109,8 @@ func TestExecuteWireCancelReleasesPool(t *testing.T) {
 	}
 
 	// The same client still executes cleanly afterwards.
-	if _, err := ExecuteWire(ctx, client, FromBits(tree, 0, true), io.Discard); err != nil {
-		t.Errorf("post-cancel ExecuteWire: %v", err)
+	if _, err := Execute(ctx, client, FromBits(tree, 0, true), io.Discard); err != nil {
+		t.Errorf("post-cancel wire Execute: %v", err)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestExecuteWirePreCanceled(t *testing.T) {
 	defer client.Close()
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteWire(cctx, client, Unified(tree, true), io.Discard); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled ExecuteWire = %v, want context.Canceled", err)
+	if _, err := Execute(cctx, client, Unified(tree, true), io.Discard); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled wire Execute = %v, want context.Canceled", err)
 	}
 	if n := client.IdleConns(); n != 0 {
 		t.Errorf("IdleConns = %d, want 0", n)

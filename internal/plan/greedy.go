@@ -240,28 +240,9 @@ func Greedy(ctx context.Context, oracle Oracle, t *viewtree.Tree, prm GreedyPara
 		}
 		rels := make([]float64, len(remaining))
 		errs := make([]error, len(remaining))
-		if workers := min(par, len(remaining)); workers > 1 {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for g := 0; g < workers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(remaining) {
-							return
-						}
-						rels[i], errs[i] = evalEdge(remaining[i])
-					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			for i, ei := range remaining {
-				rels[i], errs[i] = evalEdge(ei)
-			}
-		}
+		forEach(len(remaining), par, func(i int) {
+			rels[i], errs[i] = evalEdge(remaining[i])
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

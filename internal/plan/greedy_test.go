@@ -8,6 +8,7 @@ import (
 	"silkroute/internal/rxl"
 	"silkroute/internal/tpch"
 	"silkroute/internal/viewtree"
+	"silkroute/internal/wire"
 )
 
 func greedySetup(t *testing.T, src string) (*viewtree.Tree, *engine.Database) {
@@ -162,7 +163,7 @@ func TestGreedyPlansProduceCorrectXML(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ExecuteDirect(ctx, db, res.BestPlan(tree), &buf); err != nil {
+	if _, err := Execute(ctx, wire.Local(db), res.BestPlan(tree), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != reference {
@@ -196,7 +197,7 @@ func TestGreedyBestPlanBeatsExtremes(t *testing.T) {
 		var best float64
 		for i := 0; i < 3; i++ {
 			var buf bytes.Buffer
-			m, err := ExecuteDirect(ctx, db, p, &buf)
+			m, err := Execute(ctx, wire.Local(db), p, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,15 +9,16 @@ import (
 	"silkroute/internal/rxl"
 	"silkroute/internal/tpch"
 	"silkroute/internal/viewtree"
+	"silkroute/internal/wire"
 )
 
-// BenchmarkParallelExecute measures ExecuteDirect across the streams ×
+// BenchmarkParallelExecute measures Execute over wire.Local across the streams ×
 // parallelism grid: the unified plan (one stream, where the pool cannot
 // help) and the fully partitioned plan (one stream per view-tree node,
 // the best case for the worker pool). The interesting comparison is
 // partitioned par=1 vs par>=4 wall clock — on a multi-core host the
 // partitioned rows should show the speedup the paper's concurrent result
-// sets imply, while QueryTime (summed server time) stays flat.
+// sets imply, while QueryTime (summed open time) stays flat.
 func BenchmarkParallelExecute(b *testing.B) {
 	db := tpch.Generate(0.005, 42)
 	q, err := rxl.Parse(rxl.Query1Source)
@@ -48,7 +49,7 @@ func benchExecute(b *testing.B, db *engine.Database, mk func() *Plan, par int) {
 	for i := 0; i < b.N; i++ {
 		p := mk()
 		p.Parallelism = par
-		m, err := ExecuteDirect(ctx, db, p, io.Discard)
+		m, err := Execute(ctx, wire.Local(db), p, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

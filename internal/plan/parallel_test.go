@@ -58,7 +58,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			serial := *base
 			serial.Parallelism = 1
 			var serialBuf bytes.Buffer
-			mSerial, err := ExecuteDirect(ctx, db, &serial, &serialBuf)
+			mSerial, err := Execute(ctx, wire.Local(db), &serial, &serialBuf)
 			if err != nil {
 				t.Fatalf("%s plan %d serial: %v", src.name, pi, err)
 			}
@@ -66,7 +66,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			parallel := *base
 			parallel.Parallelism = 8
 			var parBuf bytes.Buffer
-			mPar, err := ExecuteDirect(ctx, db, &parallel, &parBuf)
+			mPar, err := Execute(ctx, wire.Local(db), &parallel, &parBuf)
 			if err != nil {
 				t.Fatalf("%s plan %d parallel: %v", src.name, pi, err)
 			}
@@ -115,7 +115,7 @@ func TestParallelErrorReporting(t *testing.T) {
 		p := FullyPartitioned(tree)
 		p.Parallelism = par
 		var buf bytes.Buffer
-		if _, err := ExecuteDirect(ctx, hollow, p, &buf); err == nil {
+		if _, err := Execute(ctx, wire.Local(hollow), p, &buf); err == nil {
 			t.Errorf("parallelism %d: execution against hollow database succeeded", par)
 		} else if !strings.Contains(err.Error(), "stream") {
 			t.Errorf("parallelism %d: error lacks stream index: %v", par, err)
@@ -141,7 +141,7 @@ func (c *countingConn) Close() error {
 }
 
 // TestExecuteWireReleasesConnections: every connection a wire execution
-// opens must be released — repooled or closed — by the time ExecuteWire
+// opens must be released — repooled or closed — by the time Execute
 // returns, and closing the client must close the whole pool. The
 // regression here was streams left open after tagging.
 func TestExecuteWireReleasesConnections(t *testing.T) {
@@ -162,7 +162,7 @@ func TestExecuteWireReleasesConnections(t *testing.T) {
 
 	for bits := uint64(0); bits < 4; bits++ {
 		var buf bytes.Buffer
-		if _, err := ExecuteWire(ctx, client, FromBits(tree, bits, false), &buf); err != nil {
+		if _, err := Execute(ctx, client, FromBits(tree, bits, false), &buf); err != nil {
 			t.Fatalf("bits=%b: %v", bits, err)
 		}
 	}

@@ -18,13 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"silkroute/internal/engine"
 	"silkroute/internal/obs"
 	"silkroute/internal/sqlast"
 	"silkroute/internal/sqlgen"
@@ -49,12 +47,12 @@ type Plan struct {
 	// server-side sorts) and the tagger assembles the document in memory.
 	// Only usable when the document fits in client memory.
 	Unordered bool
-	// Parallelism bounds how many partition queries ExecuteDirect runs
-	// concurrently. <=0 means runtime.GOMAXPROCS(0); 1 reproduces the
-	// original serial behaviour. Partitioned plans are embarrassingly
-	// parallel on the server side — each component query touches disjoint
-	// work — so this is the knob the paper's "multiple result sets open at
-	// once" client implies.
+	// Parallelism bounds how many of the plan's streams Execute opens
+	// concurrently. <=0 opens every stream at once (one request per stream,
+	// as the paper's client held one result set open per query); 1 opens
+	// them inline, in stream order; n runs n workers. Partitioned plans are
+	// embarrassingly parallel on the server side — each component query
+	// touches disjoint work. The document is identical at every setting.
 	Parallelism int
 	// FragmentBoundary, when set, is forwarded to the tagger's OnTopLevel
 	// hook: it fires just before each top-level element opens, with all
@@ -145,20 +143,22 @@ func (p *Plan) BaseTables() ([]string, error) {
 // Metrics reports one plan execution's measurements, mirroring the paper's
 // two reported times: query-only time (until every stream has produced its
 // first tuple — dominated by server-side execution and sorting) and total
-// time (until the last tuple has been read and tagged).
+// time (until the last tuple has been read and tagged). Every backend
+// reports them with the same meaning.
 type Metrics struct {
 	Streams int
-	// QueryTime is the summed per-stream server execution time. It is the
-	// paper's "query-only" series and is independent of Parallelism, so
-	// parallel runs stay comparable with the published serial numbers.
+	// QueryTime is the summed per-stream open time: submit until the
+	// stream is positioned before its first tuple. It does not shrink
+	// with Parallelism, so parallel runs stay comparable with the
+	// published serial numbers.
 	QueryTime time.Duration
-	// QueryWallTime is the elapsed wall clock of the query phase. With
-	// Parallelism 1 it equals QueryTime (plus scheduling noise); with more
-	// workers it is what actually shrinks.
+	// QueryWallTime is the elapsed wall clock of the open phase — the
+	// paper's query-only series. With Parallelism 1 it equals QueryTime
+	// (plus scheduling noise); with more workers it is what shrinks.
 	QueryWallTime time.Duration
 	TotalTime     time.Duration
 	Rows          int64 // total tuples transferred across all streams
-	Bytes         int64 // total payload bytes transferred (wire execution only)
+	Bytes         int64 // total payload bytes transferred (zero on a local backend)
 	// PerStream breaks the totals down by tuple stream, in stream order —
 	// the per-stream skew the aggregate times hide is exactly what the
 	// greedy planner exploits, so executions report it.
@@ -171,17 +171,18 @@ type StreamMetrics struct {
 	SQL string
 	// Rows counts the tuples this stream delivered.
 	Rows int64
-	// Bytes counts the payload bytes transferred (wire execution only).
+	// Bytes counts the payload bytes transferred (zero on a local
+	// backend).
 	Bytes int64
-	// QueryTime is the stream's server execution time: for direct
-	// execution the engine call, for wire execution the span from submit
-	// to the column header (time to first tuple).
+	// QueryTime is the stream's open time: submit until the stream is
+	// positioned before its first tuple.
 	QueryTime time.Duration
-	// WallTime is the stream's full lifetime — through the last row
-	// drained into the tagger.
+	// WallTime runs from the start of the execution through the last row
+	// drained into the tagger, so it is never below the run's
+	// QueryWallTime.
 	WallTime time.Duration
-	// Retries counts wire attempts beyond the first (always zero for
-	// direct execution).
+	// Retries counts wire attempts beyond the first (always zero on a
+	// local backend).
 	Retries int
 	// Resumes counts mid-stream resumes: the stream died after delivering
 	// rows and was spliced back together from its last sort key (wire
@@ -248,131 +249,6 @@ func (p *Plan) StreamSpecs() ([]*StreamSpec, error) {
 		specs[i] = newStreamSpec(s)
 	}
 	return specs, nil
-}
-
-// resultSource adapts an engine result to a tagger source and counts the
-// rows consumed. It polls the context every srcCheckRows rows so that
-// cancellation also interrupts the tagging phase, after the queries have
-// already executed.
-type resultSource struct {
-	ctx  context.Context
-	res  *engine.Result
-	rows *int64
-	n    int
-}
-
-// srcCheckRows is the row granularity of context checks while draining a
-// stream into the tagger.
-const srcCheckRows = 4096
-
-func (s *resultSource) Next() ([]value.Value, bool, error) {
-	if s.n&(srcCheckRows-1) == 0 {
-		if err := s.ctx.Err(); err != nil {
-			return nil, false, err
-		}
-	}
-	s.n++
-	row, ok := s.res.Next()
-	if !ok {
-		return nil, false, nil
-	}
-	*s.rows++
-	return row, true, nil
-}
-
-// ExecuteDirect runs the plan against an in-process engine (no wire
-// protocol) and writes the XML document to w. Partition queries execute
-// under a bounded worker pool of p.Parallelism goroutines (see Plan);
-// QueryTime stays the summed server execution time regardless of the pool
-// size, QueryWallTime is the elapsed query phase, and TotalTime adds
-// tagging. Results are collected by stream index, so the merged document
-// is byte-identical at every parallelism level.
-//
-// Cancelling ctx interrupts the run promptly — inside a partition query's
-// executor loops, between queries, or while tagging — and the returned
-// error satisfies errors.Is(err, ctx.Err()).
-func ExecuteDirect(ctx context.Context, db *engine.Database, p *Plan, w io.Writer) (Metrics, error) {
-	streams, err := p.Streams()
-	if err != nil {
-		return Metrics{}, err
-	}
-	ctx, span := obs.StartSpan(ctx, "plan.execute.direct")
-	defer span.End()
-	start := time.Now()
-	m := Metrics{Streams: len(streams), PerStream: make([]StreamMetrics, len(streams))}
-	inputs := make([]tagger.Input, len(streams))
-	perRows := make([]int64, len(streams))
-
-	par := p.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(streams) {
-		par = len(streams)
-	}
-
-	if par <= 1 {
-		for i, s := range streams {
-			qs := time.Now()
-			res, err := db.ExecuteQueryContext(ctx, s.Query)
-			qd := time.Since(qs)
-			m.QueryTime += qd
-			if err != nil {
-				return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, err)
-			}
-			m.PerStream[i] = StreamMetrics{SQL: s.SQL(), QueryTime: qd, WallTime: qd}
-			inputs[i] = tagger.Input{Meta: s, Rows: &resultSource{ctx: ctx, res: res, rows: &perRows[i]}}
-		}
-	} else {
-		results := make([]*engine.Result, len(streams))
-		errs := make([]error, len(streams))
-		durs := make([]time.Duration, len(streams))
-		var next atomic.Int64
-		var served atomic.Int64 // summed per-query server nanoseconds
-		var wg sync.WaitGroup
-		for g := 0; g < par; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(streams) {
-						return
-					}
-					qs := time.Now()
-					res, err := db.ExecuteQueryContext(ctx, streams[i].Query)
-					durs[i] = time.Since(qs)
-					served.Add(int64(durs[i]))
-					results[i], errs[i] = res, err
-				}
-			}()
-		}
-		wg.Wait()
-		m.QueryTime = time.Duration(served.Load())
-		for i, err := range errs {
-			if err != nil {
-				return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, err)
-			}
-		}
-		for i, s := range streams {
-			m.PerStream[i] = StreamMetrics{SQL: s.SQL(), QueryTime: durs[i], WallTime: durs[i]}
-			inputs[i] = tagger.Input{Meta: s, Rows: &resultSource{ctx: ctx, res: results[i], rows: &perRows[i]}}
-		}
-	}
-	m.QueryWallTime = time.Since(start)
-
-	tg := tagger.New(p.Tree)
-	tg.Wrapper = p.Wrapper
-	tg.OnTopLevel = p.FragmentBoundary
-	if err := writeDoc(tg, w, inputs, p.Unordered); err != nil {
-		return Metrics{}, err
-	}
-	m.TotalTime = time.Since(start)
-	for i, n := range perRows {
-		m.PerStream[i].Rows = n
-		m.Rows += n
-	}
-	return m, nil
 }
 
 // writeDoc dispatches between the sorted constant-space merge and the
@@ -479,27 +355,32 @@ func (s *wireSource) restart() error {
 	return nil
 }
 
-// ExecuteWire runs the plan through the wire protocol: all SQL queries are
-// submitted concurrently (one connection per stream, as the paper's client
-// opened one JDBC result set per query), then the tagger merges the
-// streams. Query time is the span from submission until every stream has
-// returned its first tuple; total time runs until the document is written.
+// Execute runs the plan against a backend — an in-process database
+// (wire.Local), a wire client, a replica set, or a shard set — and writes
+// the XML document to w. The plan's streams are opened under
+// p.Parallelism workers (see Plan), then the tagger merges them. Results
+// are collected by stream index, so the document is byte-identical at
+// every parallelism level and on every backend.
 //
-// ctx governs the whole run. Cancelling it unblocks any stream mid-read —
-// even one stalled on the network — releases every connection back to the
-// client (abandoned streams are closed, not pooled), and returns an error
-// satisfying errors.Is(err, ctx.Err()).
-func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer) (Metrics, error) {
+// QueryTime is the summed per-stream open time, QueryWallTime the elapsed
+// open phase, and TotalTime runs until the document is written.
+//
+// ctx governs the whole run. Cancelling it interrupts the run promptly —
+// inside a local query's executor loops, on a stream stalled on the
+// network, or while tagging — releases every connection back to the
+// backend (abandoned streams are closed, not pooled), and returns an
+// error satisfying errors.Is(err, ctx.Err()).
+func Execute(ctx context.Context, b wire.Backend, p *Plan, w io.Writer) (Metrics, error) {
 	streams, err := p.Streams()
 	if err != nil {
 		return Metrics{}, err
 	}
-	ctx, span := obs.StartSpan(ctx, "plan.execute.wire")
+	ctx, span := obs.StartSpan(ctx, "plan.execute")
 	defer span.End()
 	start := time.Now()
 	m := Metrics{Streams: len(streams), PerStream: make([]StreamMetrics, len(streams))}
 
-	// With resume enabled on the client, every ordered stream is opened
+	// With resume enabled on the backend, every ordered stream is opened
 	// with its resume contract, and one plan-level restart per stream backs
 	// up the wire-level budget (graceful degradation). A sharded backend
 	// needs the contract even with resume off: the scatter-gather merge
@@ -507,49 +388,42 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 	wspecs := make([]*wire.ResumeSpec, len(streams))
 	restarts := 0
 	sharded := false
-	if sh, ok := client.(interface{ Shards() int }); ok && sh.Shards() > 1 {
+	if sh, ok := b.(interface{ Shards() int }); ok && sh.Shards() > 1 {
 		sharded = true
 	}
-	if client.MaxResumes() > 0 || sharded {
+	if b.MaxResumes() > 0 || sharded {
 		for i, s := range streams {
 			wspecs[i] = newStreamSpec(s).Wire()
 		}
 	}
-	if client.MaxResumes() > 0 {
+	if b.MaxResumes() > 0 {
 		restarts = 1
 	}
 
-	type opened struct {
-		rows *wire.Rows
-		err  error
-	}
-	results := make([]opened, len(streams))
-	var wg sync.WaitGroup
+	opened := make([]*wire.Rows, len(streams))
+	errs := make([]error, len(streams))
 	for i, s := range streams {
 		m.PerStream[i].SQL = s.SQL()
-		wg.Add(1)
-		go func(i int, sql string) {
-			defer wg.Done()
-			qs := time.Now()
-			rows, err := client.QueryResumable(ctx, sql, wspecs[i])
-			m.PerStream[i].QueryTime = time.Since(qs)
-			if rows != nil {
-				m.PerStream[i].Retries = rows.Attempts - 1
-			}
-			results[i] = opened{rows: rows, err: err}
-		}(i, s.SQL())
 	}
-	wg.Wait()
-	m.QueryTime = time.Since(start)
-	m.QueryWallTime = m.QueryTime
+	par := p.Parallelism
+	if par <= 0 {
+		par = len(streams)
+	}
+	forEach(len(streams), par, func(i int) {
+		qs := time.Now()
+		opened[i], errs[i] = b.QueryResumable(ctx, m.PerStream[i].SQL, wspecs[i])
+		m.PerStream[i].QueryTime = time.Since(qs)
+	})
+	m.QueryWallTime = time.Since(start)
 
-	inputs := make([]tagger.Input, len(streams))
 	sources := make([]*wireSource, len(streams))
-	for i, r := range results {
-		if r.rows != nil {
+	for i, rows := range opened {
+		m.QueryTime += m.PerStream[i].QueryTime
+		if rows != nil {
+			m.PerStream[i].Retries = rows.Attempts - 1
 			sources[i] = &wireSource{
-				ctx: ctx, client: client, sql: streams[i].SQL(), spec: wspecs[i],
-				rows: r.rows, start: start, restartsLeft: restarts,
+				ctx: ctx, client: b, sql: m.PerStream[i].SQL, spec: wspecs[i],
+				rows: rows, start: start, restartsLeft: restarts,
 			}
 		}
 	}
@@ -557,18 +431,18 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 	// Every opened stream is released on every exit path; Rows.Close is
 	// idempotent, so streams already closed at EOF are fine. Sources hold
 	// the live Rows (a restart may have replaced the originally opened one).
-	closeAll := func() {
+	defer func() {
 		for _, s := range sources {
 			if s != nil {
 				s.rows.Close()
 			}
 		}
-	}
-	defer closeAll()
+	}()
 
-	for i, r := range results {
-		if r.err != nil {
-			return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, r.err)
+	inputs := make([]tagger.Input, len(streams))
+	for i, err := range errs {
+		if err != nil {
+			return Metrics{}, fmt.Errorf("plan: stream %d: %w", i, err)
 		}
 		inputs[i] = tagger.Input{Meta: streams[i], Rows: sources[i]}
 	}
@@ -598,6 +472,29 @@ func ExecuteWire(ctx context.Context, client wire.Backend, p *Plan, w io.Writer)
 		}
 	}
 	return m, nil
+}
+
+// forEach calls fn(i) for every i in [0, n) under at most workers
+// goroutines; workers <= 1 runs inline, in index order.
+func forEach(n, workers int, fn func(i int)) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < min(workers, n); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Enumerate calls fn for every one of the 2^|E| plans of the tree, in

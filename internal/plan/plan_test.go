@@ -62,9 +62,9 @@ func fragmentTree(t *testing.T) *viewtree.Tree {
 func runPlan(t *testing.T, db *engine.Database, p *Plan) (string, Metrics) {
 	t.Helper()
 	var buf bytes.Buffer
-	m, err := ExecuteDirect(ctx, db, p, &buf)
+	m, err := Execute(ctx, wire.Local(db), p, &buf)
 	if err != nil {
-		t.Fatalf("ExecuteDirect: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
 	return buf.String(), m
 }
@@ -123,18 +123,26 @@ func TestFragmentOuterUnionStyleAgrees(t *testing.T) {
 func TestFragmentWireExecutionAgrees(t *testing.T) {
 	db := fig8DB(t)
 	tree := fragmentTree(t)
-	client := wire.InProcess(db)
-	for bits := uint64(0); bits < 4; bits++ {
-		var buf bytes.Buffer
-		m, err := ExecuteWire(ctx, client, FromBits(tree, bits, false), &buf)
-		if err != nil {
-			t.Fatalf("ExecuteWire bits=%b: %v", bits, err)
-		}
-		if buf.String() != fig8XML {
-			t.Errorf("wire bits=%b:\n got: %s\nwant: %s", bits, buf.String(), fig8XML)
-		}
-		if m.Bytes <= 0 || m.Rows <= 0 {
-			t.Errorf("wire metrics: %+v", m)
+	for _, be := range []struct {
+		name   string
+		client wire.Backend
+		wire   bool // rows cross a connection, so bytes are counted
+	}{
+		{"wire", wire.InProcess(db), true},
+		{"local", wire.Local(db), false},
+	} {
+		for bits := uint64(0); bits < 4; bits++ {
+			var buf bytes.Buffer
+			m, err := Execute(ctx, be.client, FromBits(tree, bits, false), &buf)
+			if err != nil {
+				t.Fatalf("Execute %s bits=%b: %v", be.name, bits, err)
+			}
+			if buf.String() != fig8XML {
+				t.Errorf("%s bits=%b:\n got: %s\nwant: %s", be.name, bits, buf.String(), fig8XML)
+			}
+			if m.Rows <= 0 || (m.Bytes > 0) != be.wire {
+				t.Errorf("%s metrics: %+v", be.name, m)
+			}
 		}
 	}
 }
@@ -382,11 +390,11 @@ func TestUnorderedSkipsServerSortTime(t *testing.T) {
 	unordered := Unified(tree, true)
 	unordered.Unordered = true
 	var bufA, bufB bytes.Buffer
-	mSorted, err := ExecuteDirect(ctx, db, sorted, &bufA)
+	mSorted, err := Execute(ctx, wire.Local(db), sorted, &bufA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mUnordered, err := ExecuteDirect(ctx, db, unordered, &bufB)
+	mUnordered, err := Execute(ctx, wire.Local(db), unordered, &bufB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestWireResumeEquivalence(t *testing.T) {
 		}
 		for _, tp := range plans {
 			var want bytes.Buffer
-			if _, err := ExecuteDirect(ctx, db, tp.p, &want); err != nil {
+			if _, err := Execute(ctx, wire.Local(db), tp.p, &want); err != nil {
 				t.Fatalf("%s/%s direct: %v", src.name, tp.name, err)
 			}
 
@@ -86,7 +86,7 @@ func TestWireResumeEquivalence(t *testing.T) {
 				wire.WithResume(wire.Resume{MaxResumes: 8}),
 				wire.WithRetry(wire.Retry{BaseDelay: time.Millisecond}))
 			var got bytes.Buffer
-			m, err := ExecuteWire(ctx, client, tp.p, &got)
+			m, err := Execute(ctx, client, tp.p, &got)
 			if err != nil {
 				t.Fatalf("%s/%s wire with faults: %v", src.name, tp.name, err)
 			}
@@ -117,7 +117,7 @@ func TestWireRestartAfterResumeExhaustion(t *testing.T) {
 	p.Style = sqlgen.OuterJoin
 
 	var want bytes.Buffer
-	if _, err := ExecuteDirect(ctx, db, p, &want); err != nil {
+	if _, err := Execute(ctx, wire.Local(db), p, &want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +141,7 @@ func TestWireRestartAfterResumeExhaustion(t *testing.T) {
 		wire.WithRetry(wire.Retry{BaseDelay: time.Millisecond}))
 
 	var got bytes.Buffer
-	m, err := ExecuteWire(ctx, client, p, &got)
+	m, err := Execute(ctx, client, p, &got)
 	if err != nil {
 		t.Fatalf("wire with exhausted resumes: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestWireStreamLostWithoutResume(t *testing.T) {
 	srv := &wire.Server{DB: db, RowFault: killEachTextOnce(2)}
 	client := chaosClient(t, srv)
 	var got bytes.Buffer
-	if _, err := ExecuteWire(ctx, client, p, &got); !errors.Is(err, wire.ErrStreamLost) {
+	if _, err := Execute(ctx, client, p, &got); !errors.Is(err, wire.ErrStreamLost) {
 		t.Fatalf("err = %v, want wire.ErrStreamLost", err)
 	}
 }

@@ -440,6 +440,10 @@ type Rows struct {
 	// spliced head of a scatter-gather: it owns no connection of its own
 	// and Next/Close are served by the merge over the per-shard children.
 	merge *shardMerge
+
+	// local != nil means the stream was opened by Local: Next drains the
+	// in-process result directly (see local.go).
+	local *engine.Result
 }
 
 // Query submits sql and returns the stream positioned before the first row.
@@ -605,6 +609,9 @@ func (r *Rows) Next() ([]value.Value, error) {
 	if r.merge != nil {
 		return r.merge.next(r)
 	}
+	if r.local != nil {
+		return r.nextLocal()
+	}
 	if r.done {
 		return nil, io.EOF
 	}
@@ -675,7 +682,9 @@ func (r *Rows) Close() error {
 		return r.merge.close(r)
 	}
 	r.done = true
-	r.release(false)
+	if r.local == nil {
+		r.release(false)
+	}
 	return nil
 }
 

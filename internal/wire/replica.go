@@ -29,8 +29,10 @@ import (
 )
 
 // Backend is anything that can execute wire requests for the plan layer: a
-// single Client or a ReplicaSet. Plan executors and the facade hold this
-// interface so a one-replica deployment pays no extra machinery.
+// single Client, a ReplicaSet, a ShardSet, or an in-process database
+// (Local). Plan executors and the facade hold this interface, so local and
+// remote runs take one code path and a one-replica deployment pays no
+// extra machinery.
 type Backend interface {
 	// Query submits sql and returns the stream positioned before the
 	// first row.
@@ -149,8 +151,8 @@ func WithReplicaNames(names []string) ReplicaOption {
 
 // NewReplicaSet builds a set over the given endpoint clients. The clients
 // should share one configuration (pool, retry, resume, breaker) so a
-// stream behaves identically wherever it lands; the facade's
-// ConnectReplicas guarantees that.
+// stream behaves identically wherever it lands; the facade's Dial
+// guarantees that.
 func NewReplicaSet(clients []*Client, opts ...ReplicaOption) *ReplicaSet {
 	s := &ReplicaSet{fo: len(clients) - 1}
 	for i, c := range clients {

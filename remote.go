@@ -1,17 +1,11 @@
 package silkroute
 
 import (
-	"context"
 	"errors"
-	"net"
-	"sync"
+	"fmt"
 
-	"silkroute/internal/fragcache"
-	"silkroute/internal/plancache"
-	"silkroute/internal/rxl"
 	"silkroute/internal/schema"
 	"silkroute/internal/tpch"
-	"silkroute/internal/viewtree"
 	"silkroute/internal/wire"
 )
 
@@ -34,12 +28,10 @@ type Remote struct {
 	// one is provided. NewHandle compiles views against it.
 	source *Schema
 
-	cacheMu sync.Mutex
-	plans   *plancache.Cache
-	frags   *fragcache.Cache
+	caches caches
 }
 
-// Dial is the single constructor behind every remote connection shape: it
+// Dial is the one constructor behind every remote connection shape: it
 // takes a declarative Topology — Single(addr), Replicas(addrs...),
 // Sharded(groups...), SingleFunc(dialer), or ParseTopology's flag string —
 // and builds the matching wire backend: a pooled client, a replica set
@@ -51,31 +43,18 @@ type Remote struct {
 // The option list carries the connection policy (retry, pool, timeouts,
 // resume, breaker, failover, hedging) and the source description
 // (WithSource), so a server's per-backend config maps 1:1 onto one option
-// slice. A zero Topology falls back to option-carried endpoints
-// (WithAddrs / WithDialer); declaring both is an error.
-//
-// ConnectTCP, ConnectReplicas, and ConnectFunc remain as thin documented
-// wrappers over Dial for code written against the older constructors.
+// slice.
 func Dial(t Topology, opts ...Option) (*Remote, error) {
-	c := buildConfig(opts)
 	if t.IsZero() {
-		switch {
-		case c.dialer != nil && len(c.addrs) > 0:
-			return nil, errors.New("silkroute: Dial: WithDialer and WithAddrs are mutually exclusive")
-		case c.dialer != nil:
-			t = SingleFunc(c.dialer)
-		case len(c.addrs) > 0:
-			t = Replicas(c.addrs...)
-		default:
-			return nil, errors.New("silkroute: Dial: no endpoint — pass a Topology, WithAddrs, or WithDialer")
-		}
-	} else if c.dialer != nil || len(c.addrs) > 0 {
-		return nil, errors.New("silkroute: Dial: a Topology and WithAddrs/WithDialer are mutually exclusive")
+		return nil, errors.New("silkroute: Dial: empty topology")
 	}
-	r := &Remote{source: c.source}
+	c := buildConfig(opts)
 	backends := make([]wire.Backend, len(t.groups))
 	for i, g := range t.groups {
-		if len(g) == 1 {
+		switch len(g) {
+		case 0:
+			return nil, fmt.Errorf("silkroute: Dial: shard %d has no endpoint", i)
+		case 1:
 			backends[i] = dialEndpoint(g[0], c)
 			continue
 		}
@@ -87,9 +66,8 @@ func Dial(t Topology, opts ...Option) (*Remote, error) {
 		}
 		backends[i] = wire.NewReplicaSet(clients, c.replicaOptions(names)...)
 	}
-	if len(backends) == 1 {
-		r.client = backends[0]
-	} else {
+	r := &Remote{client: backends[0], source: c.source}
+	if len(backends) > 1 {
 		r.client = wire.NewShardSet(backends, wire.WithShardNames(t.shardNames()))
 	}
 	return r, nil
@@ -102,60 +80,6 @@ func dialEndpoint(e endpoint, c *config) *wire.Client {
 		return wire.NewClient(e.dial, c.clientOptions()...)
 	}
 	return wire.Dial(e.addr, c.clientOptions()...)
-}
-
-// ConnectTCP returns a remote database handle for the given address.
-// Connections are dialed on demand — honoring the materialize context's
-// deadline — pooled, and reused across queries and estimate requests.
-//
-// It is a wrapper for Dial(Single(addr), opts...), kept as a documented
-// alias.
-func ConnectTCP(addr string, opts ...Option) *Remote {
-	r, err := Dial(Single(addr), opts...)
-	if err != nil {
-		// Unreachable unless the option list smuggles in an endpoint; that
-		// misuse deserves the same loud failure ConnectReplicas gives.
-		panic(err)
-	}
-	return r
-}
-
-// ConnectFunc returns a remote database handle using a custom dialer. The
-// dialer is called whenever the pool has no idle connection; a dialer that
-// can block should keep its own timeout, as it is not handed the request
-// context.
-//
-// It is a wrapper for Dial(SingleFunc(...), opts...), kept as a documented
-// alias.
-func ConnectFunc(dial func() (net.Conn, error), opts ...Option) *Remote {
-	r, err := Dial(SingleFunc(func(context.Context) (net.Conn, error) { return dial() }), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// ConnectReplicas returns a remote database handle over N replica
-// endpoints serving the same data. Each replica keeps its own connection
-// pool, retry policy, and circuit breaker (built from the shared option
-// list); a health-weighted balancer assigns every stream to a replica at
-// execution time, and — with WithResume enabled — a stream whose replica
-// dies mid-flight resumes there first, then fails over to another healthy
-// replica, splicing the continuation in byte-identically (see
-// WithFailover). When every replica is open-circuit, requests fail closed
-// with ErrNoHealthyReplica. A single address behaves like ConnectTCP.
-//
-// It is a wrapper for Dial(Replicas(addrs...), opts...), kept as a
-// documented alias.
-func ConnectReplicas(addrs []string, opts ...Option) *Remote {
-	if len(addrs) == 0 {
-		panic("silkroute: ConnectReplicas needs at least one address")
-	}
-	r, err := Dial(Replicas(addrs...), opts...)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Close releases the connection pool. In-flight requests finish on their
@@ -177,17 +101,7 @@ func ParseRemoteView(r *Remote, s *Schema, src string, opts ...Option) (*View, e
 			return nil, errors.New("silkroute: ParseRemoteView: no source description — pass a schema or dial with WithSource")
 		}
 	}
-	q, err := rxl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := viewtree.Build(q, s.s)
-	if err != nil {
-		return nil, err
-	}
-	v := &View{remote: r, tree: tree, wrapper: "document", reduce: true}
-	buildConfig(opts).apply(v)
-	return v, nil
+	return compileView(r.client, &r.caches, s.s, src, opts)
 }
 
 // TPCHSourceDescription returns the source description of the built-in

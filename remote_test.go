@@ -17,6 +17,16 @@ func tpchSourceDescription(t *testing.T) *Schema {
 	return &Schema{s: tpch.Schema()}
 }
 
+// mustDial dials the topology or fails the test.
+func mustDial(t testing.TB, topo Topology, opts ...Option) *Remote {
+	t.Helper()
+	r, err := Dial(topo, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRemoteMaterializationMatchesLocal(t *testing.T) {
 	db := OpenTPCH(0.001, 42)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -35,7 +45,7 @@ func TestRemoteMaterializationMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +75,7 @@ func TestRemoteGreedyUsesRemoteOracle(t *testing.T) {
 	go db.Serve(l)
 
 	db.ResetEstimateRequests()
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.Query1Source)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +103,7 @@ func TestRemoteServerErrorSurfaces(t *testing.T) {
 	defer l.Close()
 	go db.Serve(l)
 
-	remote := ConnectTCP(l.Addr().String())
+	remote := mustDial(t, Single(l.Addr().String()))
 	// A schema that disagrees with the server: the generated SQL will
 	// reference a relation the server does not have.
 	s := NewSchema()

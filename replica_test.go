@@ -2,6 +2,7 @@ package silkroute
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -44,7 +45,7 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 			// can finish a stream that lands there. The other replicas run
 			// clean. With a single "replica" there is nobody to fail over
 			// to, so the kill budget is survivable by resume alone — that
-			// leg proves ConnectReplicas degrades to plain resume.
+			// leg proves a Replicas topology degrades to plain resume.
 			addrs := make([]string, n)
 			for i := range addrs {
 				spec := ""
@@ -64,7 +65,7 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 				WithResume(resumes),
 				WithRetry(Retry{BaseDelay: time.Millisecond}),
 			}
-			remote := ConnectReplicas(addrs, opts...)
+			remote := mustDial(t, Replicas(addrs...), opts...)
 			rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -100,9 +101,9 @@ func TestReplicaEquivalenceMatrix(t *testing.T) {
 // errors.Is-able silkroute.ErrCircuitOpen and writes NOTHING — no document
 // prefix, no partial XML — because the failure precedes the first stream.
 func TestMaterializeFailsClosedWhenBreakerOpen(t *testing.T) {
-	remote := ConnectFunc(func() (net.Conn, error) {
+	remote := mustDial(t, SingleFunc(func(context.Context) (net.Conn, error) {
 		return nil, errors.New("refused")
-	},
+	}),
 		WithBreaker(1, time.Minute),
 		WithRetry(Retry{MaxAttempts: 1, BaseDelay: time.Millisecond}))
 	defer remote.Close()
@@ -166,14 +167,14 @@ func TestFragmentProbeFailureIsCounted(t *testing.T) {
 	}
 
 	addr := startChaosServer(t, db, "")
-	remote := ConnectFunc(func() (net.Conn, error) {
+	remote := mustDial(t, SingleFunc(func(context.Context) (net.Conn, error) {
 		var d net.Dialer
 		conn, err := d.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
 		}
 		return probeKiller{conn}, nil
-	})
+	}))
 	defer remote.Close()
 	rv, err := ParseRemoteView(remote, tpchSourceDescription(t), rxl.FragmentSource, WithFragmentCache(-1))
 	if err != nil {
@@ -200,14 +201,4 @@ func TestFragmentProbeFailureIsCounted(t *testing.T) {
 	if !strings.Contains(b.String(), "silkroute_cache_fragment_probe_failures_total") {
 		t.Error("probe failures missing from Prometheus exposition")
 	}
-}
-
-// TestConnectReplicasValidation pins the constructor contract.
-func TestConnectReplicasValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ConnectReplicas(nil) did not panic")
-		}
-	}()
-	ConnectReplicas(nil)
 }

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"silkroute/internal/chaos"
@@ -45,7 +44,7 @@ var ErrStreamLost = wire.ErrStreamLost
 var ErrCircuitOpen = wire.ErrCircuitOpen
 
 // ErrNoHealthyReplica reports a request on a replicated connection
-// (ConnectReplicas) refused fast because every replica's circuit breaker
+// (a Replicas topology) refused fast because every replica's circuit breaker
 // is open: the set fails closed rather than emitting a partial document.
 // Test for it with errors.Is.
 var ErrNoHealthyReplica = wire.ErrNoHealthyReplica
@@ -65,10 +64,10 @@ type Retry struct {
 }
 
 // Option configures a view or a remote connection. The same option list is
-// accepted by ParseView, ParseRemoteView, ConnectTCP, and ConnectFunc;
-// options that do not apply to the value being built (WithRetry on a view,
-// WithWrapper on a connection) are simply ignored, so one list can be
-// shared across both.
+// accepted by ParseView, ParseRemoteView, Dial, and NewHandle; options that
+// do not apply to the value being built (WithRetry on a view, WithWrapper
+// on a connection) are simply ignored, so one list can be shared across
+// both.
 type Option func(*config)
 
 type config struct {
@@ -81,8 +80,6 @@ type config struct {
 	strategy    Strategy
 	strategySet bool
 
-	addrs  []string
-	dialer func(context.Context) (net.Conn, error)
 	source *Schema
 
 	planCache  bool
@@ -119,11 +116,12 @@ func WithReduce(on bool) Option {
 	return func(c *config) { c.reduce, c.reduceSet = on, true }
 }
 
-// WithParallelism bounds how many partition queries run concurrently when a
-// view materializes locally, and how many candidate queries the Greedy
-// planner costs at once. 0 (the default) means one worker per CPU; 1
-// forces strictly serial execution. The document and the planner's choices
-// are identical at every setting. View option.
+// WithParallelism bounds how many of a plan's tuple streams a view opens
+// concurrently, on every backend, and how many candidate queries the
+// Greedy planner costs at once. 0 (the default) opens every stream at once
+// and costs candidates on one worker per CPU; 1 forces strictly serial
+// execution. The document and the planner's choices are identical at every
+// setting. View option.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism, c.parSet = n, true }
 }
@@ -134,21 +132,6 @@ func WithParallelism(n int) Option {
 // strategy explicitly.
 func WithStrategy(s Strategy) Option {
 	return func(c *config) { c.strategy, c.strategySet = s, true }
-}
-
-// WithAddrs sets the endpoint(s) a Dial connects to: one address is a
-// single remote database, several are replicas of the same data behind a
-// health-weighted balancer with cross-replica failover (see WithFailover).
-// Connection option.
-func WithAddrs(addrs ...string) Option {
-	return func(c *config) { c.addrs = append(c.addrs, addrs...) }
-}
-
-// WithDialer sets a custom dialer for Dial, replacing TCP to a WithAddrs
-// endpoint — for tests over in-memory pipes, or transports with their own
-// handshake. Mutually exclusive with WithAddrs. Connection option.
-func WithDialer(dial func(ctx context.Context) (net.Conn, error)) Option {
-	return func(c *config) { c.dialer = dial }
 }
 
 // WithSource attaches the source description — the schema of the remote
@@ -204,7 +187,7 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 
 // WithFailover bounds how many times one tuple stream may fail over to a
 // different replica after its same-replica resume budget runs out
-// (ConnectReplicas only; requires WithResume, since failover re-issues
+// (Replicas topologies only; requires WithResume, since failover re-issues
 // the stream's frontier suffix). The default is replicas-1 — enough to
 // try every other replica once; n <= 0 disables cross-replica failover.
 // Connection option.
@@ -216,7 +199,7 @@ func WithFailover(n int) Option {
 // replica has not produced a stream header within d, a second healthy
 // replica is raced and the first answer wins. Queries are read-only, so
 // the duplicated work is safe. Zero (the default) disables hedging.
-// Connection option (ConnectReplicas only).
+// Connection option (Replicas topologies only).
 func WithHedge(d time.Duration) Option {
 	return func(c *config) { c.hedge, c.hedgeSet = d, true }
 }
@@ -275,18 +258,10 @@ func (c *config) apply(v *View) {
 		v.parallelism = c.parallelism
 	}
 	if c.planCache {
-		if v.remote != nil {
-			v.plans = v.remote.planCache()
-		} else {
-			v.plans = v.db.planCache()
-		}
+		v.plans = v.home.planCache()
 	}
 	if c.fragSet {
-		if v.remote != nil {
-			v.frags = v.remote.fragCache(c.fragBytes)
-		} else {
-			v.frags = v.db.fragCache(c.fragBytes)
-		}
+		v.frags = v.home.fragCache(c.fragBytes)
 	}
 	v.serveStale = c.serveStale
 }
@@ -303,23 +278,24 @@ func buildConfig(opts []Option) *config {
 // the SQL subset and answers the cost-estimate requests SilkRoute's
 // planner relies on.
 type DB struct {
-	eng *engine.Database
+	eng    *engine.Database
+	caches caches
+}
 
-	cacheMu sync.Mutex
-	plans   *plancache.Cache
-	frags   *fragcache.Cache
+func newDB(eng *engine.Database) *DB {
+	return &DB{eng: eng, caches: caches{local: eng}}
 }
 
 // OpenTPCH generates the TPC-H fragment of the paper's Fig. 1 at the given
 // scale factor. The same (scale, seed) pair always yields the same data.
 // The paper's Config A corresponds to scale 0.001 and Config B to 0.1.
 func OpenTPCH(scale float64, seed int64) *DB {
-	return &DB{eng: tpch.Generate(scale, seed)}
+	return newDB(tpch.Generate(scale, seed))
 }
 
 // NewDB creates an empty database from a schema built with NewSchema.
 func NewDB(s *Schema) *DB {
-	return &DB{eng: engine.NewDatabase(s.s)}
+	return newDB(engine.NewDatabase(s.s))
 }
 
 // Insert appends one row to a relation. Values may be int, int64,
@@ -447,7 +423,7 @@ func (db *DB) Partition(relation string, i, n int) (*DB, error) {
 			}
 		}
 	}
-	return &DB{eng: out}, nil
+	return newDB(out), nil
 }
 
 // shardOf hashes a row's key columns (FNV-1a over their canonical hash
@@ -643,19 +619,19 @@ func editDistance(a, b string) int {
 // (WithWrapper, WithReduce, WithParallelism, ...); the struct-field shims
 // that once mirrored them are gone per the DESIGN.md §8 removal schedule.
 type View struct {
-	db     *DB
-	remote *Remote
-	tree   *viewtree.Tree
+	backend wire.Backend
+	// home is the backend's shared caches (the DB's or the Remote's).
+	home *caches
+	tree *viewtree.Tree
 	// wrapper is the document element wrapped around the view's output;
 	// "" emits a bare element sequence. Set with WithWrapper.
 	wrapper string
 	// reduce applies view-tree reduction (§3.5). On by default; set with
 	// WithReduce.
 	reduce bool
-	// parallelism bounds how many partition queries run concurrently when
-	// the view materializes against a local database, and how many
-	// candidate queries the Greedy planner costs at once. Set with
-	// WithParallelism.
+	// parallelism bounds how many tuple streams a materialization opens
+	// concurrently, and how many candidate queries the Greedy planner
+	// costs at once. Set with WithParallelism.
 	parallelism int
 
 	// plans and frags are the backend's shared caches; nil unless the view
@@ -670,15 +646,22 @@ type View struct {
 
 // ParseView compiles an RXL view definition against the database's schema.
 func ParseView(db *DB, src string, opts ...Option) (*View, error) {
+	return compileView(wire.Local(db.eng), &db.caches, db.eng.Schema, src, opts)
+}
+
+// compileView is the one view compiler behind ParseView, ParseRemoteView,
+// and NewHandle: it builds the view tree of src against the schema and
+// binds it to the backend and the backend's shared caches.
+func compileView(b wire.Backend, home *caches, s *schema.Schema, src string, opts []Option) (*View, error) {
 	q, err := rxl.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := viewtree.Build(q, db.eng.Schema)
+	tree, err := viewtree.Build(q, s)
 	if err != nil {
 		return nil, err
 	}
-	v := &View{db: db, tree: tree, wrapper: "document", reduce: true}
+	v := &View{backend: b, home: home, tree: tree, wrapper: "document", reduce: true}
 	buildConfig(opts).apply(v)
 	return v, nil
 }
@@ -702,11 +685,14 @@ func (v *View) EdgeLabels() []string {
 
 // Report describes one materialization: the plan used and its timings.
 type Report struct {
-	Strategy  Strategy
-	Streams   int           // SQL queries (tuple streams) executed
-	QueryTime time.Duration // summed server-side execution time of all queries
-	// QueryWallTime is the elapsed wall clock of the query phase; with
-	// parallel execution it is shorter than QueryTime.
+	Strategy Strategy
+	Streams  int // SQL queries (tuple streams) executed
+	// QueryTime sums every stream's open time (submit until positioned
+	// before its first tuple), on every backend.
+	QueryTime time.Duration
+	// QueryWallTime is the elapsed wall clock of the open phase — the
+	// paper's query-only time; with concurrent opens it is shorter than
+	// QueryTime.
 	QueryWallTime time.Duration
 	TotalTime     time.Duration // until the document was fully written
 	Rows          int64         // tuples transferred
@@ -730,7 +716,7 @@ type Report struct {
 	FragmentCached bool
 	// Failovers totals the cross-replica failovers over every stream: how
 	// many times a stream's frontier suffix was re-issued on a different
-	// replica after same-replica resume gave up (ConnectReplicas only).
+	// replica after same-replica resume gave up (Replicas topologies only).
 	Failovers int
 	// ServedStale reports that the document came from a stale fragment-cache
 	// entry because the backend was entirely unhealthy (WithServeStale
@@ -746,12 +732,12 @@ type StreamStat struct {
 	SQL       string        // the stream's generated query text
 	Rows      int64         // tuples the stream delivered
 	Bytes     int64         // payload bytes transferred (remote views only)
-	QueryTime time.Duration // server execution / time to first tuple
-	WallTime  time.Duration // through the last row drained into the tagger
+	QueryTime time.Duration // open time: submit until positioned before the first tuple
+	WallTime  time.Duration // run start through the last row drained into the tagger
 	Retries   int           // wire attempts beyond the first (0 for local views)
 	Resumes   int           // mid-stream resumes after transport failures (remote views with WithResume)
 	Restarts  int           // full re-executions after the resume budget ran out
-	Failovers int           // cross-replica failovers (ConnectReplicas views only)
+	Failovers int           // cross-replica failovers (Replicas topologies only)
 	Replica   int           // replica index that finished serving the stream (0 single-backend)
 	// Shards breaks the stream down per shard for scatter-gather
 	// execution over a Sharded topology; nil otherwise.
@@ -925,13 +911,7 @@ func (v *View) planCold(ctx context.Context, s Strategy) (*plan.Plan, *Report, e
 	case FullyPartitioned:
 		return plan.FullyPartitioned(v.tree), rep, nil
 	case Greedy:
-		var oracle plan.Oracle
-		if v.remote != nil {
-			oracle = plan.RemoteOracle{Client: v.remote.client}
-		} else {
-			v.db.ResetEstimateRequests()
-			oracle = v.db.eng
-		}
+		oracle := plan.RemoteOracle{Client: v.backend}
 		prm := plan.DefaultGreedyParams(v.reduce)
 		prm.Parallelism = v.parallelism
 		res, err := plan.Greedy(ctx, oracle, v.tree, prm)
@@ -993,12 +973,7 @@ func (v *View) execute(ctx context.Context, w io.Writer, p *plan.Plan, rep *Repo
 		}
 	}
 
-	var m plan.Metrics
-	if v.remote != nil {
-		m, err = plan.ExecuteWire(ctx, v.remote.client, p, out)
-	} else {
-		m, err = plan.ExecuteDirect(ctx, v.db.eng, p, out)
-	}
+	m, err := plan.Execute(ctx, v.backend, p, out)
 	if err != nil {
 		// Fail-closed: a failed (or killed, resumed-then-lost, cancelled)
 		// run caches nothing; rec is dropped with its partial fragments.

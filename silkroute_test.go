@@ -233,6 +233,56 @@ func TestGreedyReportFields(t *testing.T) {
 	}
 }
 
+// TestGreedyLeavesSharedEstimateCounter checks that local Greedy runs add
+// to the database's §5.1 estimate counter instead of resetting it, so two
+// views over one database do not clobber each other's counts.
+func TestGreedyLeavesSharedEstimateCounter(t *testing.T) {
+	db := OpenTPCH(0.001, 42)
+	var total int64
+	for _, src := range []string{rxl.Query1Source, rxl.Query2Source} {
+		v, err := ParseView(db, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := v.Materialize(ctx, io.Discard, Greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += rep.EstimateRequests
+	}
+	if got := db.EstimateRequests(); got != total {
+		t.Errorf("database counted %d estimate requests, the two reports %d", got, total)
+	}
+}
+
+// TestQueryLogRecordsLocalRuns checks that the query log sees local
+// materializations: one entry per stream, carrying that stream's rows.
+func TestQueryLogRecordsLocalRuns(t *testing.T) {
+	db := OpenTPCH(0.001, 42)
+	v, err := ParseView(db, rxl.Query1Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.EnableQueryLog()
+	rep, err := v.Materialize(ctx, io.Discard, FullyPartitioned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int64, len(rep.StreamStats))
+	for _, st := range rep.StreamStats {
+		want[st.SQL] = st.Rows
+	}
+	log := db.QueryLog()
+	if len(log) != rep.Streams {
+		t.Fatalf("query log has %d entries, the run had %d streams", len(log), rep.Streams)
+	}
+	for _, e := range log {
+		if rows, ok := want[e.SQL]; !ok || int64(e.Rows) != rows {
+			t.Errorf("logged %d rows for %.60s; the stream delivered %d (known stream: %v)", e.Rows, e.SQL, rows, ok)
+		}
+	}
+}
+
 func TestInsertTypeValidation(t *testing.T) {
 	db := libraryDB(t)
 	if err := db.Insert("Author", 3, "X", struct{}{}); err == nil {

@@ -11,9 +11,8 @@ import (
 // Topology declares the backend shape a Dial connects to, replacing the
 // sprawl of per-shape constructors with one value: a single endpoint, a
 // replica group of endpoints serving the same data, or a shard list of
-// replica groups serving horizontal partitions. The zero Topology means
-// "no endpoint declared" — Dial then falls back to the option-carried
-// WithAddrs/WithDialer endpoints for compatibility.
+// replica groups serving horizontal partitions. The zero Topology declares
+// no endpoint; Dial rejects it.
 //
 // Topologies compose: Sharded(Replicas("a","b"), Replicas("c","d"))
 // declares a 2-shard × 2-replica grid, where every shard heals itself
